@@ -72,10 +72,10 @@ bench-compare:
 	$(GO) run ./cmd/dpcbench -baseline BENCH_10.json -compare
 
 # Allocs-per-op gate: the steady-state client data paths (buffered RMW
-# write, cached ReadInto) and the telemetry flight-recorder ring must stay
-# at zero heap allocations per op.
+# write, cached ReadInto), the host cache's dirty check and the telemetry
+# flight-recorder ring must stay at zero heap allocations per op.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache
 
-check: vet test race allocs torture check-crash bench-compare
+check: vet test race allocs torture check-faults check-crash bench-compare

@@ -93,6 +93,8 @@ type Ctl struct {
 	inflight map[[2]uint64]bool // prefetches in flight
 
 	stopped bool
+	// scanBuf receives each meta chunk DMA'd by scanDirty.
+	scanBuf [scanChunk * EntrySize]byte
 
 	Flushes    stats.Counter
 	Evictions  stats.Counter
@@ -314,24 +316,30 @@ func (c *Ctl) FlushPass(p *sim.Proc, maxPages int) (int, error) {
 }
 
 func (c *Ctl) flushPass(p *sim.Proc, maxPages int) (int, error) {
-	var dirty []int
-	const chunkEntries = 128
-	for base := 0; base < c.L.Total && len(dirty) < maxPages; base += chunkEntries {
-		n := chunkEntries
-		if base+n > c.L.Total {
-			n = c.L.Total - base
-		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n && len(dirty) < maxPages; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty {
-				dirty = append(dirty, base+k)
-			}
-		}
-	}
+	dirty := c.scanDirty(p, 0, true, maxPages)
 	return c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
 		return c.flushOne(pp, i)
 	})
+}
+
+// scanChunk is how many meta entries one scan DMA covers (4 KiB).
+const scanChunk = 128
+
+// scanDirty scans the whole meta area in scanChunk-entry DMA reads and
+// returns the dirty entries (of ino, or of every inode when allInos is
+// set), stopping at the chunk where limit is reached. Each chunk is one
+// "cache-scan" DMA into c.scanBuf; the buffer is shared by every scan of
+// this ctl, which is safe because a chunk is fully scanned before the
+// proc can yield again.
+func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, allInos bool, limit int) []int {
+	var dirty []int
+	for base := 0; base < c.L.Total && len(dirty) < limit; base += scanChunk {
+		n := min(scanChunk, c.L.Total-base)
+		buf := c.scanBuf[:n*EntrySize]
+		c.m.PCIe.DMAReadInto(p, buf, c.m.HostMem, c.L.EntryAddr(base), "cache-scan")
+		dirty = dirtyIn(dirty, buf, base, ino, allInos, limit)
+	}
+	return dirty
 }
 
 // flushWindow writes the given entries back with a bounded pool of worker
@@ -400,39 +408,28 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 // unflushed page sits behind a failing backend — the fallback fully lands
 // or reports the backend error (pinned by TestDegradedFsyncReportsError).
 func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
-	var dirty []int
-	const chunkEntries = 128
-	for base := 0; base < c.L.Total; base += chunkEntries {
-		n := chunkEntries
-		if base+n > c.L.Total {
-			n = c.L.Total - base
-		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty && e.Ino == ino {
-				dirty = append(dirty, base+k)
-			}
-		}
-	}
-	// Write the inode's pages back as a concurrent window rather than one
-	// blocking flushOne at a time. Each worker keeps the must-settle spin:
-	// an entry it cannot lock is re-checked until it is either flushed here
-	// or observed clean/replaced.
-	return c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
+	return c.settle(p, ino, false)
+}
+
+// settle writes back every dirty page (of ino, or of every inode when
+// allInos is set) as a concurrent window, with must-settle semantics: an
+// entry a worker cannot flush is re-checked until it is either flushed here
+// or observed clean or replaced. A backend failure is retried a bounded
+// number of times and then reported, leaving the page dirty.
+func (c *Ctl) settle(p *sim.Proc, ino uint64, allInos bool) (int, error) {
+	return c.flushWindow(p, c.scanDirty(p, ino, allInos, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
 		fails := 0
 		for spins := 0; ; spins++ {
 			if spins > 1<<20 {
-				panic("cache: FlushIno livelocked on a held entry lock")
+				panic("cache: must-settle flush livelocked on a held entry lock")
 			}
 			ok, err := c.flushOne(pp, i)
 			if ok {
 				return true, nil
 			}
 			if err != nil {
-				// Backend failure: the page is still dirty. Retry a bounded
-				// number of times, then report the error — the caller's
-				// fsync fails cleanly rather than spinning forever.
+				// The caller's fsync or checkpoint fails cleanly rather
+				// than spinning forever.
 				if fails++; fails >= 8 {
 					return false, err
 				}
@@ -442,8 +439,7 @@ func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 			// Lock held or state changed: either a concurrent flush is
 			// writing this page back, or the host replaced the entry.
 			// Re-read and wait until it is no longer our dirty page.
-			cur := c.readEntryRemote(pp, i)
-			if cur.Status != StatusDirty || cur.Ino != ino {
+			if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty || (!allInos && cur.Ino != ino) {
 				return false, nil
 			}
 		}
@@ -485,21 +481,7 @@ func (c *Ctl) journalIno(p *sim.Proc, ino uint64) (int, error) {
 		seq := c.ckptSeq
 		gen := c.walGens[ino]
 
-		var dirty []int
-		const chunkEntries = 128
-		for base := 0; base < c.L.Total; base += chunkEntries {
-			n := chunkEntries
-			if base+n > c.L.Total {
-				n = c.L.Total - base
-			}
-			raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-			for k := 0; k < n; k++ {
-				e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-				if e.Status == StatusDirty && e.Ino == ino {
-					dirty = append(dirty, base+k)
-				}
-			}
-		}
+		dirty := c.scanDirty(p, ino, false, c.L.Total)
 		var recs []wal.Record
 		_, err := c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
 			for spins := 0; ; spins++ {
@@ -608,60 +590,17 @@ func (c *Ctl) checkpoint(p *sim.Proc) error {
 		c.ckptDone.Wait(p)
 	}
 	c.ckpting = true
-	err := c.settleAll(p)
+	// Settle every dirty page, not FlushPass's best effort: FlushPass skips
+	// entries whose lock is held, but a page mid-flush by the daemon may
+	// still fail its backend write and stay dirty — dropping its journal
+	// record then would lose an acked fsync.
+	_, err := c.settle(p, 0, true)
 	if err == nil {
 		err = c.wal.Checkpoint(p)
 	}
 	c.ckpting = false
 	c.ckptSeq++
 	c.ckptDone.Broadcast()
-	return err
-}
-
-// settleAll writes every dirty page in the cache back to the backend with
-// FlushIno's must-settle semantics (an unlockable entry is re-checked until
-// flushed or observed clean). A checkpoint needs this stronger guarantee:
-// FlushPass skips entries whose lock is held, but a page mid-flush by the
-// daemon may still fail its backend write and stay dirty — dropping its
-// journal record then would lose an acked fsync.
-func (c *Ctl) settleAll(p *sim.Proc) error {
-	var dirty []int
-	const chunkEntries = 128
-	for base := 0; base < c.L.Total; base += chunkEntries {
-		n := chunkEntries
-		if base+n > c.L.Total {
-			n = c.L.Total - base
-		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty {
-				dirty = append(dirty, base+k)
-			}
-		}
-	}
-	_, err := c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-		fails := 0
-		for spins := 0; ; spins++ {
-			if spins > 1<<20 {
-				panic("cache: checkpoint livelocked on a held entry lock")
-			}
-			ok, err := c.flushOne(pp, i)
-			if ok {
-				return true, nil
-			}
-			if err != nil {
-				if fails++; fails >= 8 {
-					return false, err
-				}
-				pp.Sleep(20 * time.Microsecond)
-				continue
-			}
-			if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty {
-				return false, nil
-			}
-		}
-	})
 	return err
 }
 
@@ -1042,25 +981,4 @@ func (c *Ctl) present(p *sim.Proc, ino, lpn uint64) bool {
 		}
 	}
 	return false
-}
-
-// encodeEntry serializes an entry into a 32-byte buffer.
-func encodeEntry(b []byte, e Entry) {
-	put32 := func(off int, v uint32) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	put64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			b[off+i] = byte(v >> (8 * i))
-		}
-	}
-	put32(offLock, e.Lock)
-	put32(offStatus, e.Status)
-	put32(offNext, e.Next)
-	put64(offLPN, e.LPN)
-	put64(offIno, e.Ino)
-	b[offRef] = e.Ref
 }

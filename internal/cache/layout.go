@@ -15,6 +15,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -140,48 +141,54 @@ const (
 // ReadEntry decodes entry i from the region (no timing; callers on the DPU
 // side must have DMA'd the bytes or pay atomics per field).
 func ReadEntry(r *mem.Region, l Layout, i int) Entry {
-	a := l.EntryAddr(i)
-	return Entry{
-		Lock:   r.Uint32(a + offLock),
-		Status: r.Uint32(a + offStatus),
-		Next:   r.Uint32(a + offNext),
-		LPN:    r.Uint64(a + offLPN),
-		Ino:    r.Uint64(a + offIno),
-		Ref:    r.Slice(a+offRef, 1)[0],
-	}
+	return DecodeEntry(r.Slice(l.EntryAddr(i), EntrySize))
 }
 
 // DecodeEntry decodes an entry from raw bytes (e.g. a DMA'd meta chunk).
 func DecodeEntry(b []byte) Entry {
-	le := func(off int) uint32 {
-		return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-	}
-	le64 := func(off int) uint64 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(b[off+i])
-		}
-		return v
-	}
+	b = b[:EntrySize]
 	return Entry{
-		Lock:   le(offLock),
-		Status: le(offStatus),
-		Next:   le(offNext),
-		LPN:    le64(offLPN),
-		Ino:    le64(offIno),
+		Lock:   binary.LittleEndian.Uint32(b[offLock:]),
+		Status: binary.LittleEndian.Uint32(b[offStatus:]),
+		Next:   binary.LittleEndian.Uint32(b[offNext:]),
+		LPN:    binary.LittleEndian.Uint64(b[offLPN:]),
+		Ino:    binary.LittleEndian.Uint64(b[offIno:]),
 		Ref:    b[offRef],
 	}
 }
 
-// WriteEntryMeta stores the status/lpn/ino fields of entry i (host-local).
+// encodeEntry serializes an entry into a 32-byte buffer (the pad is left
+// untouched).
+func encodeEntry(b []byte, e Entry) {
+	b = b[:EntrySize]
+	binary.LittleEndian.PutUint32(b[offLock:], e.Lock)
+	binary.LittleEndian.PutUint32(b[offStatus:], e.Status)
+	binary.LittleEndian.PutUint32(b[offNext:], e.Next)
+	binary.LittleEndian.PutUint64(b[offLPN:], e.LPN)
+	binary.LittleEndian.PutUint64(b[offIno:], e.Ino)
+	b[offRef] = e.Ref
+}
+
+// WriteEntryMeta stores every field of entry i (host-local).
 func WriteEntryMeta(r *mem.Region, l Layout, i int, e Entry) {
-	a := l.EntryAddr(i)
-	r.PutUint32(a+offLock, e.Lock)
-	r.PutUint32(a+offStatus, e.Status)
-	r.PutUint32(a+offNext, e.Next)
-	r.PutUint64(a+offLPN, e.LPN)
-	r.PutUint64(a+offIno, e.Ino)
-	r.Slice(a+offRef, 1)[0] = e.Ref
+	encodeEntry(r.Slice(l.EntryAddr(i), EntrySize), e)
+}
+
+// dirtyIn appends to out the index (base+k) of every dirty entry k in meta,
+// a run of whole entries, stopping once out holds limit indices. Only the
+// status word is read per entry, plus the ino word of dirty entries unless
+// allInos is set. This is the one whole-table scan both sides share: the
+// host runs it over its local meta area, the DPU over each DMA'd chunk.
+func dirtyIn(out []int, meta []byte, base int, ino uint64, allInos bool, limit int) []int {
+	for off := 0; off+EntrySize <= len(meta) && len(out) < limit; off += EntrySize {
+		if binary.LittleEndian.Uint32(meta[off+offStatus:]) != StatusDirty {
+			continue
+		}
+		if allInos || binary.LittleEndian.Uint64(meta[off+offIno:]) == ino {
+			out = append(out, base+off/EntrySize)
+		}
+	}
+	return out
 }
 
 // InitHeader writes the cache header and formats every entry as free,

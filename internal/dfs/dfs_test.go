@@ -281,3 +281,61 @@ func TestHostCPUCostDifference(t *testing.T) {
 		t.Fatalf("opt client CPU (%.3f cores) not above std client (%.3f cores)", optCores, stdCores)
 	}
 }
+
+// dfsTimings builds a fresh world and drives concurrent multi-block writes
+// and reads through both clients, returning every op's completion time.
+func dfsTimings(t *testing.T, seed int64) []sim.Time {
+	w := newWorld(t)
+	defer w.m.Eng.Shutdown()
+	var at []sim.Time
+	for c := 0; c < 4; c++ {
+		c := c
+		w.m.Eng.Go(fmt.Sprintf("client-%d", c), func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(seed + int64(c)))
+			create, write, read := w.opt.Create, w.opt.Write, w.opt.Read
+			if c%2 == 1 {
+				create, write, read = w.std.Create, w.std.Write, w.std.Read
+			}
+			ino, err := create(p, fmt.Sprintf("/det/%d", c))
+			if err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			for i := 0; i < 8; i++ {
+				off := uint64(rng.Intn(16)) * BlockSize
+				data := make([]byte, (1+rng.Intn(6))*BlockSize)
+				rng.Read(data)
+				if err := write(p, ino, off, data); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				at = append(at, p.Now())
+				if _, err := read(p, ino, off, len(data)); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				at = append(at, p.Now())
+			}
+		})
+	}
+	w.m.Eng.Run()
+	return at
+}
+
+// TestSameSeedSameTimings pins that one DFS world built twice with the same
+// seed replays with identical virtual timings: striped I/O fans out to its
+// data servers in a fixed order, not in map iteration order.
+func TestSameSeedSameTimings(t *testing.T) {
+	want := dfsTimings(t, 11)
+	for run := 0; run < 3; run++ {
+		got := dfsTimings(t, 11)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d ops completed, want %d", run+1, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: op %d completed at %v, want %v", run+1, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -217,13 +217,14 @@ func parallelCalls(eng *sim.Engine, p *sim.Proc, from *fabric.Node, targets []*f
 
 // writeBlocksFrom erasure-codes data (aligned to BlockSize groups) and
 // writes the shards to the data servers, batching shards per server into a
-// single RPC. `from` is the issuing node: an MDS for server-side EC or a
+// single RPC issued in ascending server order (so virtual timing is
+// deterministic). `from` is the issuing node: an MDS for server-side EC or a
 // client/DPU for client-side EC.
 func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64, data []byte) string {
 	if off%BlockSize != 0 {
 		return "unaligned write"
 	}
-	perDS := map[int][]dsShard{}
+	perDS := make([][]dsShard, len(b.ds))
 	for done := 0; done < len(data); done += BlockSize {
 		end := done + BlockSize
 		if end > len(data) {
@@ -247,6 +248,9 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 	var reqs []any
 	var sizes []int
 	for ds, shards := range perDS {
+		if len(shards) == 0 {
+			continue
+		}
 		bytes := 0
 		for _, s := range shards {
 			bytes += len(s.Data) + len(s.Key)
@@ -265,15 +269,15 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 }
 
 // readBlocksFrom reads n bytes at off, fetching data shards in parallel
-// (batched per data server) and reconstructing from parity when a data
-// server is down.
+// (batched per data server, in ascending server order) and reconstructing
+// from parity when a data server is down.
 func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64, n int) ([]byte, string) {
 	if off%BlockSize != 0 {
 		return nil, "unaligned read"
 	}
 	nBlocks := (n + BlockSize - 1) / BlockSize
 	// Request the data shards of every block, grouped by data server.
-	perDS := map[int][]dsShard{}
+	perDS := make([][]dsShard, len(b.ds))
 	for bi := 0; bi < nBlocks; bi++ {
 		blk := off/BlockSize + uint64(bi)
 		placement := b.Placement(ino, blk)
@@ -287,6 +291,9 @@ func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64
 	var reqs []any
 	var sizes []int
 	for ds, keys := range perDS {
+		if len(keys) == 0 {
+			continue
+		}
 		targets = append(targets, b.ds[ds].node)
 		reqs = append(reqs, dsReq{Op: dsRead, Shards: keys})
 		sizes = append(sizes, 64+len(keys)*24)

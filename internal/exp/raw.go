@@ -102,6 +102,14 @@ func newNvmeStack(queues, depth, slotsPerQ, maxIO int) *rawStack {
 	}
 }
 
+// run drives one closed-loop window on the stack and then shuts its engine
+// down: a rawStack serves exactly one window, and its client procs left
+// parked in the transport would otherwise keep the whole world reachable.
+func (st *rawStack) run(cfg workload.Config, gen workload.Generator, do workload.Do) workload.Result {
+	defer st.m.Eng.Shutdown()
+	return workload.Run(st.m.Eng, cfg, gen, do)
+}
+
 // rawPoint is one (transport, op, threads) measurement.
 type rawPoint struct {
 	Transport string
@@ -121,7 +129,7 @@ func measureRaw(st *rawStack, threads, ioSize int, write bool, warmup, measure t
 		kind = workload.Write
 	}
 	buf := make([]byte, ioSize)
-	res := workload.Run(st.m.Eng, workload.Config{
+	res := st.run(workload.Config{
 		Threads: threads, Warmup: warmup, Measure: measure, Seed: 1,
 	}, workload.RandomGen(ioSize, 256<<20, 0), func(p *sim.Proc, tid int, a workload.Access) error {
 		if kind == workload.Write {
@@ -197,7 +205,7 @@ func BW1Data(s Scale) (virtioRd, virtioWr, nvmeRd, nvmeWr float64) {
 	warm, meas := s.windows()
 	run := func(st *rawStack, write bool) float64 {
 		buf := make([]byte, 1<<20)
-		res := workload.Run(st.m.Eng, workload.Config{Threads: 16, Warmup: warm, Measure: meas, Seed: 1},
+		res := st.run(workload.Config{Threads: 16, Warmup: warm, Measure: meas, Seed: 1},
 			workload.SequentialGen(1<<20, 1<<30, workload.Read),
 			func(p *sim.Proc, tid int, a workload.Access) error {
 				if write {
